@@ -160,7 +160,11 @@ let validate_trace path =
    the serving counterpart of --validate-trace, run by `make check-serve`.
    Asserts the documented shape: the sweep table with its per-level
    fields, the sustained-qps headline, and the soak invariant that every
-   request was answered. *)
+   request was answered. It also gates the overload contract "load makes
+   answers cheaper, not more expensive": every level with more clients
+   than the peak-qps level keeps at least [no_cliff_frac] of peak qps. *)
+let no_cliff_frac = 0.5
+
 let validate_serve path =
   let fail fmt =
     Printf.ksprintf (fun s -> Printf.printf "INVALID %s: %s\n" path s; raise Exit) fmt
@@ -200,13 +204,26 @@ let validate_serve path =
         rate "degraded_rate";
         rate "shed_rate")
       levels;
+    let qps l = num_field l "qps" and clients l = num_field l "clients" in
+    let peak =
+      List.fold_left (fun p l -> if qps l > qps p then l else p) (List.hd levels) levels
+    in
+    List.iter
+      (fun l ->
+        if clients l > clients peak && qps l < no_cliff_frac *. qps peak then
+          fail "overload cliff: %.0f qps at %.0f clients, below %.1fx the peak %.0f \
+                qps at %.0f clients"
+            (qps l) (clients l) no_cliff_frac (qps peak) (clients peak))
+      levels;
     ignore (Option.map number (Some (get "sustained_qps")));
     (match get "all_answered" with
     | Json.Bool true -> ()
     | Json.Bool false -> fail "all_answered is false: requests went unanswered"
     | _ -> fail "all_answered is not a boolean");
-    Printf.printf "OK %s: %d sweep level(s), all requests answered\n" path
-      (List.length levels);
+    Printf.printf
+      "OK %s: %d sweep level(s), all requests answered, no level past the peak \
+       below %.1fx its qps\n"
+      path (List.length levels) no_cliff_frac;
     0
   with Exit -> 1
 

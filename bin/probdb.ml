@@ -650,27 +650,27 @@ let compile_cmd =
 let host_arg =
   Arg.(
     value
-    & opt string "127.0.0.1"
+    & opt string Serve.default_config.Serve.host
     & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address (an IP literal).")
 
 let port_arg =
   Arg.(
     value
-    & opt int 7433
+    & opt int Serve.default_config.Serve.port
     & info [ "port" ] ~docv:"PORT"
         ~doc:"TCP port; 0 picks an ephemeral port (printed on startup).")
 
 let workers_arg =
   Arg.(
     value
-    & opt int 2
+    & opt int Serve.default_config.Serve.workers
     & info [ "workers" ] ~docv:"N"
         ~doc:"Worker domains draining the request queue (engine concurrency).")
 
 let queue_arg =
   Arg.(
     value
-    & opt int 64
+    & opt int Serve.default_config.Serve.queue_capacity
     & info [ "queue" ] ~docv:"N"
         ~doc:
           "Request-queue bound. A full queue sheds requests with a typed \
@@ -679,12 +679,14 @@ let queue_arg =
 let degrade_above_arg =
   Arg.(
     value
-    & opt int 48
+    & opt int Serve.default_config.Serve.degrade_above
     & info [ "degrade-above" ] ~docv:"N"
         ~doc:
-          "Queue-depth watermark above which admitted requests are answered \
-           with the certified (eps,delta)-approximation instead of exact \
-           inference; 0 disables degradation under load.")
+          "Queue-depth watermark. A request admitted above it is answered \
+           with the certified (eps,delta)-approximation when that is \
+           cheaper than exact inference for its query template, as \
+           measured on earlier requests; cheaper exact templates stay \
+           exact. 0 disables degradation under load.")
 
 let serve_deadline_arg =
   Arg.(
@@ -698,7 +700,7 @@ let serve_deadline_arg =
 let stall_deadline_arg =
   Arg.(
     value
-    & opt int 30_000
+    & opt int Serve.default_config.Serve.worker_stall_deadline_ms
     & info [ "stall-deadline-ms" ] ~docv:"MS"
         ~doc:
           "Worker stall watchdog: a worker busy on one request past this \

@@ -10,6 +10,9 @@ module Clock = Probdb_obs.Clock
 module Trace = Probdb_obs.Trace
 module Metrics = Probdb_obs.Metrics
 
+(* The two measured-cost cells of a template, in seconds; 0 = unrecorded. *)
+type costs = { full : float Atomic.t; degraded : float Atomic.t }
+
 type artifact = {
   key : string;
   khash : int;
@@ -19,6 +22,8 @@ type artifact = {
   plan : Plan.t option;
   plan_skip : string option;
   verdict : Lift.verdict;
+  samplable : bool;
+  costs : costs;
 }
 
 type bound = { artifact : artifact; binding : Value.t array }
@@ -197,12 +202,47 @@ let build ~key ~khash ~nparams template =
     | v -> v
     | exception _ -> Lift.Unsupported "classification failed"
   in
-  { key; khash; template; nparams; ucq; plan; plan_skip; verdict }
+  (* the Karp–Luby fallback's own structural test: a UCQ with no
+     complemented atom has a monotone DNF lineage to sample *)
+  let samplable =
+    match ucq with
+    | Error _ -> false
+    | Ok (u, _) ->
+        not (List.exists (List.exists (fun (a : Cq.atom) -> a.Cq.comp)) u)
+  in
+  { key; khash; template; nparams; ucq; plan; plan_skip; verdict; samplable;
+    costs = { full = Atomic.make 0.0; degraded = Atomic.make 0.0 } }
 
 let prepare q =
   let key, khash, template, consts = analyse q in
   { artifact = build ~key ~khash ~nparams:(Array.length consts) template;
     binding = consts }
+
+(* ---------- measured costs ---------- *)
+
+type cost = Full | Degraded
+
+(* The weight of a new sample in the exponentially weighted mean: 1/8,
+   the smoothing TCP uses for its round-trip estimate — a few samples
+   move the mean, one outlier does not own it. *)
+let cost_weight = 0.125
+
+let cell a = function Full -> a.costs.full | Degraded -> a.costs.degraded
+
+let cost a which = Atomic.get (cell a which)
+
+(* A CAS loop: [old] is the boxed float just read, so the physical
+   comparison of [compare_and_set] detects any concurrent update. *)
+let record_cost a which dt =
+  let c = cell a which in
+  let rec loop () =
+    let old = Atomic.get c in
+    let next = if old = 0.0 then dt else old +. (cost_weight *. (dt -. old)) in
+    if not (Atomic.compare_and_set c old next) then loop ()
+  in
+  loop ()
+
+let degrading_pays a = a.samplable && cost a Full > cost a Degraded
 
 (* ---------- binding (execute-time substitution) ---------- *)
 

@@ -27,6 +27,9 @@
     identical artifact, and a disabled cache (capacity 0) is simply one
     that always misses. *)
 
+type costs
+(** The measured-cost cells of one artifact (see {!record_cost}). *)
+
 type artifact = private {
   key : string;
       (** canonical structural key: bound variables renamed in binding
@@ -48,6 +51,14 @@ type artifact = private {
       (** lifted-rules safety classification of the template; informational
           (surfaced by [probdb prepare]) — execution never gates the
           lifted attempt on it *)
+  samplable : bool;
+      (** the Karp–Luby fallback can sample this template's lineage: its
+          UCQ is in the fragment and has no complemented atom, so the
+          lineage is a monotone DNF. Whether the database's probabilities
+          are standard is data, and is checked at run time. *)
+  costs : costs;
+      (** mutable by design: the measured costs of evaluating this
+          template, shared with every holder of the artifact *)
 }
 
 type bound = {
@@ -79,6 +90,37 @@ val bind_ucq :
 val plan_skip : bound -> string option
 (** [artifact.plan_skip] with markers rendered back to constants — the
     exact message the engine's cold safe-plan attempt would produce. *)
+
+(** {1 Measured costs}
+
+    A server learns, per template, what evaluating it costs on the normal
+    strategy chain and what a force-degraded (ε,δ) evaluation costs, and
+    under load degrades only the templates for which degrading is cheaper.
+    The cells live on the artifact, so every worker domain sharing it
+    through the {!Cache} reads and feeds the same measurement; a
+    capacity-0 cache builds a fresh artifact per request, whose cells are
+    never learned. *)
+
+type cost =
+  | Full
+      (** wall time of [Engine.eval] on the normal chain, whatever its
+          outcome (exact, or tripped and then fell back) *)
+  | Degraded  (** wall time of a force-degraded evaluation *)
+
+val record_cost : artifact -> cost -> float -> unit
+(** [record_cost a c seconds] folds one measured wall time into the cell:
+    an exponentially weighted mean with a fixed weight of 1/8, the first
+    sample taken as is. Lock-free and safe from many domains. *)
+
+val cost : artifact -> cost -> float
+(** The cell's current mean in seconds; [0.0] while unrecorded. *)
+
+val degrading_pays : artifact -> bool
+(** The backpressure rule: [samplable] and [cost Full > cost Degraded],
+    an unrecorded cell reading 0. So a cold template is not degraded; a
+    template whose full cost is known but whose degraded cost is not is
+    degraded once, as the probe that learns it; after that the cheaper
+    of the two wins. A template the fallback cannot sample never pays. *)
 
 module Cache : sig
   (** The shared compiled-plan cache: a bounded LRU over artifacts, safe

@@ -82,7 +82,9 @@ type conn = {
 
 (* An admitted eval request, queued for the worker service. [j_enqueued_s]
    anchors the queue-wait measurement the admission deadline charges;
-   [j_degrade_load] is the backpressure verdict, decided at admission.
+   [j_past_watermark] is the admission-time watermark check — whether the
+   request is then force-degraded is decided by the worker, once the
+   template's measured costs are at hand ([degrade_decision]).
    [j_done] is the reply token: the worker's answer and the watchdog's
    doom path race for it, and only the CAS winner sends — one response
    per request, however the race resolves. *)
@@ -91,7 +93,7 @@ type job = {
   j_id : Json.t;
   j_req : Protocol.eval_request;
   j_rid : string option;  (* correlation id: client-supplied or minted *)
-  j_degrade_load : bool;
+  j_past_watermark : bool;
   j_enqueued_s : float;
   j_done : bool Atomic.t;
 }
@@ -108,7 +110,7 @@ type windows = {
   w_answered : Window.counter;  (* eval replies sent, any outcome *)
   w_ok : Window.counter;
   w_errors : Window.counter;
-  w_degraded : Window.counter;  (* force-degraded under load *)
+  w_degraded : Window.counter;  (* actually force-degraded under load *)
   w_shed : Window.counter;
   w_slow : Window.counter;  (* at/over the slow-query threshold *)
   w_slo_miss : Window.counter;  (* latency above the p99 objective *)
@@ -164,6 +166,9 @@ type t = {
       (* the degradation targets a request inherits when it sets none,
          resolved once from the engine config (falling back to the engine
          defaults) *)
+  db_is_standard : bool option Atomic.t;
+      (* whether the database's probabilities are standard — the
+         fallback's data-dependent precondition; see [db_standard] *)
   service : job Par.Service.t;
   state : state Atomic.t;
   started_s : float;
@@ -293,7 +298,7 @@ let engine_base_of config ~guard ~plan_cache =
    overridden field by field from the request, run under a child of the
    server guard. Raises [Protocol.Bad] on an unknown method name. *)
 let config_of_request t ~(remaining_s : float option)
-    (r : Protocol.eval_request) ~degrade_load =
+    (r : Protocol.eval_request) =
   let base = t.req_base in
   let base =
     match r.Protocol.meth with
@@ -325,13 +330,7 @@ let config_of_request t ~(remaining_s : float option)
               max_samples =
                 Option.value r.Protocol.samples ~default:d.E.max_samples }
   in
-  let config = { base with E.deadline_s = remaining_s; degrade } in
-  (* [no_degrade] requests are exempt from backpressure degradation
-     (admission never marks them, but guard here too: [force_degrade]
-     would reinstall the default accuracy targets over [degrade = None]
-     and silently break the exactness contract) *)
-  if degrade_load && not r.Protocol.no_degrade then E.force_degrade config
-  else config
+  { base with E.deadline_s = remaining_s; degrade }
 
 let confidence_json (c : Answer.confidence) =
   Json.Obj
@@ -415,15 +414,20 @@ let remaining_deadline t (r : Protocol.eval_request) ~queue_wait_s =
 let engine_base t = t.req_base
 let plan_cache t = t.plan_cache
 
-let request_engine_config ?(degrade_load = false) t (r : Protocol.eval_request) =
-  let remaining_s = remaining_deadline t r ~queue_wait_s:0.0 in
-  config_of_request t ~remaining_s r ~degrade_load
+let request_engine_config t (r : Protocol.eval_request) =
+  config_of_request t ~remaining_s:(remaining_deadline t r ~queue_wait_s:0.0) r
 
-let eval_result_json t job ~config ~degraded_load ~stats ?prepared q =
+(* [cost]: the template cell this evaluation's wall time is folded into. *)
+let eval_result_json t job ~config ~degraded_load ~stats ?cost ?prepared q =
   let r = job.j_req in
   match r.Protocol.free with
   | [] -> (
-      match E.eval ~config ~stats ?prepared t.db q with
+      let t0 = Clock.now () in
+      let result = E.eval ~config ~stats ?prepared t.db q in
+      Option.iter
+        (fun (a, c) -> Prepare.record_cost a c (Clock.now () -. t0))
+        cost;
+      match result with
       | Ok a ->
           Ok
             (answer_json ~want_stats:r.Protocol.want_stats ~degraded_load a)
@@ -505,13 +509,12 @@ let slow_record job ~latency_s ~queue_wait_s ~(stats : Stats.t) ~verdict =
    counters, the slow-query log, and the terminal trace instant. Only the
    reply winner calls this — a worker that lost the race to the watchdog
    must not double-count its late result. *)
-let record_outcome t job ~stats ~degraded_load ~queue_wait_s ~verdict ~ok =
+let record_outcome t job ~stats ~queue_wait_s ~verdict ~ok =
   let latency_s = Clock.now () -. job.j_enqueued_s in
   (match t.windows with
   | None -> ()
   | Some w ->
       if ok then Window.incr w.w_ok else Window.incr w.w_errors;
-      if degraded_load then Window.incr w.w_degraded;
       (match stats.Stats.strategy with
       | Some s -> Window.incr (strategy_counter w s)
       | None -> ());
@@ -532,6 +535,46 @@ let record_outcome t job ~stats ~degraded_load ~queue_wait_s ~verdict ~ok =
   | Some rid -> Trace.instant ~cat:"request" ("req:" ^ rid ^ ":" ^ verdict)
   | None -> ()
 
+(* The database is fixed for the server's lifetime, so whether its
+   probabilities are standard is checked once, the first time a
+   degradation is considered — not at [start], where it would fault in
+   every column of a packed container. Racing first checks agree. *)
+let db_standard t =
+  match Atomic.get t.db_is_standard with
+  | Some b -> b
+  | None ->
+      let b = Core.Tid.is_standard t.db in
+      Atomic.set t.db_is_standard (Some b);
+      b
+
+(* Requests on the normal chain — no method override, no [no_degrade] —
+   feed their template's cost cells and are degraded by them. *)
+let normal_chain (r : Protocol.eval_request) =
+  (match r.Protocol.meth with None | Some "auto" -> true | Some _ -> false)
+  && not r.Protocol.no_degrade
+
+(* The backpressure verdict, taken once the artifact is resolved: a
+   request admitted past the watermark is force-degraded only when the
+   fallback can sample its template and, on the normal chain, the
+   measured costs say degrading is cheaper ([Prepare.degrading_pays]). A
+   method override keeps the blanket rule. Exempt: [no_degrade] requests
+   ([force_degrade] would reinstall the default accuracy targets over
+   [degrade = None] and break the exactness contract), and open formulas,
+   which carry no artifact and whose [Engine.answers] has no fallback. *)
+let degrade_decision t job prepared =
+  match prepared with
+  | Some b when job.j_past_watermark && not job.j_req.Protocol.no_degrade ->
+      let a = b.Prepare.artifact in
+      (if normal_chain job.j_req then Prepare.degrading_pays a
+       else a.Prepare.samplable)
+      && db_standard t
+  | _ -> false
+
+let count_degraded t =
+  Atomic.incr t.c_degraded_load;
+  Metrics.incr m_degraded_load;
+  match t.windows with Some w -> Window.incr w.w_degraded | None -> ()
+
 let run_job t job =
   let r = job.j_req in
   let queue_wait_s = Clock.now () -. job.j_enqueued_s in
@@ -540,46 +583,48 @@ let run_job t job =
   | Some w -> Window.observe w.w_queue_wait queue_wait_s
   | None -> ());
   Metrics.set m_queue_depth (float_of_int (Par.Service.depth t.service));
-  let attempt ~degrade_load =
-    let stats = Stats.create () in
-    stats.Stats.query <- Some r.Protocol.query;
-    stats.Stats.request_id <- job.j_rid;
-    let result =
-      try
-        let remaining_s = remaining_deadline t r ~queue_wait_s in
-        let config = config_of_request t ~remaining_s r ~degrade_load in
-        (* the shared text index skips the parser on repeated request texts
-           and hands back the prepared binding in the same lookup, so warm
-           requests go straight to execution *)
-        match
-          Prepare.Cache.resolve_text ~stats t.plan_cache ~free:r.Protocol.free
-            r.Protocol.query
-        with
-        | exception L.Parser.Error msg ->
-            Error (Protocol.Engine (Err.Parse { message = msg }))
-        | q, prepared ->
-            eval_result_json t job ~config ~degraded_load:degrade_load ~stats
-              ?prepared q
-      with exn -> Error (typed_error exn)
-    in
-    (result, stats, degrade_load)
+  let stats = Stats.create () in
+  stats.Stats.query <- Some r.Protocol.query;
+  stats.Stats.request_id <- job.j_rid;
+  let evaluate () =
+    let remaining_s = remaining_deadline t r ~queue_wait_s in
+    let config = config_of_request t ~remaining_s r in
+    (* the shared text index skips the parser on repeated request texts
+       and hands back the prepared binding in the same lookup, so warm
+       requests go straight to execution *)
+    match
+      Prepare.Cache.resolve_text ~stats t.plan_cache ~free:r.Protocol.free
+        r.Protocol.query
+    with
+    | exception L.Parser.Error msg ->
+        Error (Protocol.Engine (Err.Parse { message = msg }))
+    | q, prepared ->
+        let degrade = degrade_decision t job prepared in
+        let config =
+          if degrade then begin
+            count_degraded t;
+            E.force_degrade config
+          end
+          else config
+        in
+        let cost =
+          match prepared with
+          | Some b when normal_chain r ->
+              Some
+                ( b.Prepare.artifact,
+                  if degrade then Prepare.Degraded else Prepare.Full )
+          | _ -> None
+        in
+        eval_result_json t job ~config ~degraded_load:degrade ~stats ?cost
+          ?prepared q
   in
-  let result, stats, degraded_load =
-    match attempt ~degrade_load:job.j_degrade_load with
-    | Error (Protocol.Engine (Err.No_method _)), _, _ when job.j_degrade_load ->
-        (* degradation under load is best-effort: a query with no monotone
-           DNF lineage has no (ε,δ) fallback to degrade to, so it gets its
-           normal exact evaluation instead of a spurious no-method error *)
-        attempt ~degrade_load:false
-    | r -> r
-  in
+  let result = try evaluate () with exn -> Error (typed_error exn) in
   match result with
   | Ok doc ->
       if reply t job (Protocol.response_ok ?request_id:job.j_rid ~id:job.j_id doc)
       then begin
         Atomic.incr t.c_eval_ok;
-        record_outcome t job ~stats ~degraded_load ~queue_wait_s ~verdict:"ok"
-          ~ok:true
+        record_outcome t job ~stats ~queue_wait_s ~verdict:"ok" ~ok:true
       end
   | Error err ->
       if
@@ -587,7 +632,7 @@ let run_job t job =
           (Protocol.response_error ?request_id:job.j_rid ~id:job.j_id err)
       then begin
         Atomic.incr t.c_eval_error;
-        record_outcome t job ~stats ~degraded_load ~queue_wait_s
+        record_outcome t job ~stats ~queue_wait_s
           ~verdict:(Protocol.error_class err) ~ok:false
       end
 
@@ -836,16 +881,11 @@ let capture_trace t ~ms =
 (* ---------- admission control ---------- *)
 
 let submit_eval t conn ~id (r : Protocol.eval_request) =
-  (* Backpressure verdict at admission: past the watermark the request is
-     still served, but with [force_degrade] — a bounded-cost certified
-     (ε,δ) answer instead of queued exact work. A request that demanded
-     exactness with [no_degrade] is exempt (docs/SERVING.md): it keeps
-     its exact evaluation and is not counted as degraded-under-load. *)
-  let depth_now = Par.Service.depth t.service in
-  let degrade_load =
-    t.cfg.degrade_above > 0
-    && depth_now >= t.cfg.degrade_above
-    && not r.Protocol.no_degrade
+  (* The watermark check at admission: past it, the worker may answer
+     with [force_degrade] — a certified (ε,δ) answer — when that is
+     cheaper than the template's exact evaluation ([degrade_decision]). *)
+  let past_watermark =
+    t.cfg.degrade_above > 0 && Par.Service.depth t.service >= t.cfg.degrade_above
   in
   (* Correlation id: honour the client's, mint one otherwise. Telemetry
      off ([--no-telemetry], the overhead-bench baseline) skips minting but
@@ -862,7 +902,7 @@ let submit_eval t conn ~id (r : Protocol.eval_request) =
       j_id = id;
       j_req = r;
       j_rid = rid;
-      j_degrade_load = degrade_load;
+      j_past_watermark = past_watermark;
       j_enqueued_s = Clock.now ();
       j_done = Atomic.make false;
     }
@@ -871,12 +911,7 @@ let submit_eval t conn ~id (r : Protocol.eval_request) =
   | Some rid -> Trace.instant ~cat:"request" ("req:" ^ rid ^ ":admitted")
   | None -> ());
   match Par.Service.try_submit t.service job with
-  | `Accepted depth ->
-      Metrics.set m_queue_depth (float_of_int depth);
-      if degrade_load then begin
-        Atomic.incr t.c_degraded_load;
-        Metrics.incr m_degraded_load
-      end
+  | `Accepted depth -> Metrics.set m_queue_depth (float_of_int depth)
   | `Overloaded ->
       Atomic.incr t.c_shed;
       Metrics.incr m_shed;
@@ -1133,8 +1168,8 @@ let start ?(config = default_config) db =
               let stats = Stats.create () in
               stats.Stats.query <- Some job.j_req.Protocol.query;
               stats.Stats.request_id <- job.j_rid;
-              record_outcome t job ~stats ~degraded_load:false
-                ~queue_wait_s:0.0 ~verdict:"doomed" ~ok:false
+              record_outcome t job ~stats ~queue_wait_s:0.0 ~verdict:"doomed"
+                ~ok:false
             end
         | None -> ())
       ~on_restart:(fun () ->
@@ -1172,6 +1207,7 @@ let start ?(config = default_config) db =
       plan_cache;
       req_base;
       base_degrade;
+      db_is_standard = Atomic.make None;
       service;
       state = Atomic.make Running;
       started_s = Clock.now ();

@@ -13,11 +13,14 @@
       {!Probdb_par.Par.Service} queue drained by worker {e domains} — the
       only place engine work runs, so concurrency is capped by the worker
       count and the queue bound is the backpressure contract;
-    - overload degrades before it sheds: past the [degrade_above]
-      watermark admitted requests are evaluated with
-      {!Probdb_engine.Engine.force_degrade} (certified (ε,δ) Karp–Luby
-      answers), and when the queue is full the request is refused with a
-      typed [overloaded] error — the server never queues unboundedly;
+    - overload degrades before it sheds, but only where degrading is
+      cheaper: a request admitted past the [degrade_above] watermark is
+      evaluated with {!Probdb_engine.Engine.force_degrade} (a certified
+      (ε,δ) Karp–Luby answer) when its template's measured costs say the
+      degraded evaluation costs less than the normal one
+      ({!Probdb_prepare.Prepare.degrading_pays}); cheap templates stay
+      exact. When the queue is full the request is refused with a typed
+      [overloaded] error — the server never queues unboundedly;
     - every request runs under a {!Probdb_guard.Guard} deadline whose
       budget {e includes the time spent queued} (admission control), and
       all request guards are children of one server guard so
@@ -30,9 +33,10 @@ type config = {
   queue_capacity : int;
       (** bound of the request queue; a full queue sheds ([overloaded]) *)
   degrade_above : int;
-      (** queue-depth watermark above which admitted requests are
-          force-degraded to the (ε,δ) approximation; [<= 0] never degrades
-          under load *)
+      (** queue-depth watermark above which an admitted request is
+          force-degraded to the (ε,δ) approximation when its template's
+          measured degraded cost is below its full cost; [<= 0] never
+          degrades under load *)
   default_deadline_ms : int option;
       (** per-request deadline applied when the request carries none *)
   worker_stall_deadline_ms : int;
@@ -105,12 +109,11 @@ val engine_base : t -> Probdb_engine.Engine.config
     every call (physical equality — the hoist contract the tests pin). *)
 
 val request_engine_config :
-  ?degrade_load:bool -> t -> Protocol.eval_request -> Probdb_engine.Engine.config
+  t -> Protocol.eval_request -> Probdb_engine.Engine.config
 (** The engine configuration a given request would evaluate under (with
-    zero queue wait charged against its deadline) — {!engine_base} plus
-    the request's own overrides. Exposed for tests.
-    @param degrade_load apply the over-watermark
-      {!Probdb_engine.Engine.force_degrade} transform (default [false]).
+    zero queue wait charged against its deadline, and not degraded under
+    load) — {!engine_base} plus the request's own overrides. Exposed for
+    tests.
     @raise Protocol.Bad on an unknown ["method"] name. *)
 
 val stop : ?mode:[ `Drain | `Now ] -> t -> unit

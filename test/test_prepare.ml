@@ -89,6 +89,47 @@ let test_bind_roundtrip () =
 
 (* ---------- bit-identity of cached execution ---------- *)
 
+(* ---------- the backpressure decision rule ---------- *)
+
+let test_degrade_decision_rule () =
+  let artifact text = (Prepare.prepare (parse text)).Prepare.artifact in
+  let pays = Prepare.degrading_pays in
+  let h0 = artifact "exists x y. R(x) && S(x,y) && T(y)" in
+  Alcotest.(check bool) "H0 is samplable" true h0.Prepare.samplable;
+  (* unknown cells read 0: a cold template runs exact *)
+  Alcotest.(check (float 0.0)) "full unrecorded" 0.0 (Prepare.cost h0 Prepare.Full);
+  Alcotest.(check bool) "cold: not degraded" false (pays h0);
+  (* full known, degraded unknown: the probe that learns it *)
+  Prepare.record_cost h0 Prepare.Full 0.002;
+  Alcotest.(check (float 0.0)) "first sample taken as is" 0.002 (Prepare.cost h0 Prepare.Full);
+  Alcotest.(check bool) "probe" true (pays h0);
+  (* both known: the cheaper evaluation wins *)
+  Prepare.record_cost h0 Prepare.Degraded 0.015;
+  Alcotest.(check bool) "degraded dearer: exact" false (pays h0);
+  Prepare.record_cost h0 Prepare.Full 0.122;
+  Alcotest.(check (float 1e-12)) "weighted mean, weight 1/8" 0.017 (Prepare.cost h0 Prepare.Full);
+  Alcotest.(check bool) "full > degraded: degraded" true (pays h0);
+  (* a template with no monotone DNF lineage is never degraded, whatever
+     its costs: complemented atoms, or outside the UCQ fragment *)
+  List.iter
+    (fun text ->
+      let a = artifact text in
+      Alcotest.(check bool) (text ^ " not samplable") false a.Prepare.samplable;
+      Prepare.record_cost a Prepare.Full 1.0;
+      Alcotest.(check bool) (text ^ " never degraded") false (pays a))
+    [ "forall x y. R(x) || S(x,y) || T(y)";
+      "(exists x. R(x)) && (forall y. T(y))" ];
+  (* concurrent recorders never lose the cell: the mean of a constant is
+     that constant, however the updates interleave *)
+  let a = artifact "exists x. R(x)" in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to 1000 do Prepare.record_cost a Prepare.Degraded 0.25 done))
+  in
+  List.iter Domain.join domains;
+  Alcotest.(check (float 0.0)) "concurrent updates" 0.25 (Prepare.cost a Prepare.Degraded)
+
 let bits = Int64.bits_of_float
 
 let fingerprint = function
@@ -372,6 +413,7 @@ let suites =
       [
         Alcotest.test_case "canonical key" `Quick test_key_canonicalisation;
         Alcotest.test_case "bind round-trip" `Quick test_bind_roundtrip;
+        Alcotest.test_case "degrade decision rule" `Quick test_degrade_decision_rule;
         prop_cached_eval_bit_identical;
         Alcotest.test_case "bit identity under guard trips" `Quick
           test_bit_identity_under_guard_trips;

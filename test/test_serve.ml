@@ -16,6 +16,7 @@ module Answer = Probdb_engine.Answer
 module L = Probdb_logic
 module Gen = Probdb_workload.Gen
 module Err = Probdb_core.Probdb_error
+module Prepare = Probdb_prepare.Prepare
 
 let small_db () =
   Gen.random_tid ~seed:11 ~domain_size:6
@@ -29,6 +30,14 @@ let hard_db () =
   Gen.random_tid ~seed:3 ~domain_size:26
     [ Gen.spec ~density:0.85 "R" 1; Gen.spec ~density:0.8 "S" 2;
       Gen.spec ~density:0.85 "T" 1 ]
+
+(* Small, but with enough H0 lineage (~16 clauses) that the (eps,delta)
+   fallback draws its full 20k samples (~15 ms) while OBDD compiles H0
+   exactly in about a millisecond: the shape of mixed serving traffic. *)
+let mixed_db () =
+  Gen.random_tid ~seed:11 ~domain_size:7
+    [ Gen.spec ~density:0.8 "R" 1; Gen.spec ~density:0.5 "S" 2;
+      Gen.spec ~density:0.8 "T" 1 ]
 
 let h0 = "exists x y. R(x) && S(x,y) && T(y)"
 
@@ -276,12 +285,16 @@ let test_deadline_no_degrade_fails_typed () =
 let test_overload_sheds_typed () =
   (* one worker wedged on slow sampling work, capacity 1, no degradation
      watermark: the pipelined burst must shed with the typed overloaded
-     error and never queue unboundedly *)
+     error and never queue unboundedly. The stall watchdog is off: the
+     wedge's length depends on the host, and a slow host must not turn
+     the served requests into typed [internal] replies from a doomed
+     worker — the watchdog has its own tests. *)
   let config =
     { Serve.default_config with
       Serve.workers = 1;
       queue_capacity = 1;
-      degrade_above = 0 }
+      degrade_above = 0;
+      worker_stall_deadline_ms = 0 }
   in
   with_server ~config (hard_db ()) @@ fun _server port ->
   let c = Client.connect port in
@@ -294,9 +307,9 @@ let test_overload_sheds_typed () =
             [ ("id", Json.Int i); ("op", Json.Str "eval");
               ("query", Json.Str h0);
               ("method", Json.Str "karp-luby");
-              ("samples", Json.Int 2_000_000) ]))
+              ("samples", Json.Int 200_000) ]))
   done;
-  let ok = ref 0 and shed = ref 0 and other = ref 0 in
+  let ok = ref 0 and shed = ref 0 and other = ref [] in
   for _ = 1 to n do
     match Json.of_string (Client.recv_line c) with
     | Ok resp ->
@@ -310,11 +323,18 @@ let test_overload_sheds_typed () =
           | Json.Int 8 -> ()
           | _ -> Alcotest.fail "overloaded code <> 8"
         end
-        else incr other
+        else
+          other :=
+            Option.value (Client.error_class resp) ~default:"(no class)"
+            :: !other
     | Error m -> Alcotest.failf "bad response: %s" m
   done;
-  Alcotest.(check int) "every request answered" n (!ok + !shed + !other);
-  Alcotest.(check int) "no untyped failures" 0 !other;
+  Alcotest.(check int) "every request answered" n
+    (!ok + !shed + List.length !other);
+  if !other <> [] then
+    Alcotest.failf "no untyped failures: %d reply(ies) neither ok nor \
+                    overloaded, error classes [%s]"
+      (List.length !other) (String.concat "; " (List.rev !other));
   Alcotest.(check bool) "some requests shed" true (!shed > 0);
   Alcotest.(check bool) "some requests served" true (!ok > 0)
 
@@ -418,6 +438,179 @@ let test_no_degrade_exempt_under_load () =
   | j ->
       Alcotest.failf "no_degrade requests counted as degraded: %s"
         (match j with Some j -> Json.to_string j | None -> "missing")
+
+(* Two slow [no_degrade] sampling jobs, pipelined on [c] with ids [id] and
+   [id + 1]: one wedges the single worker, the other holds the queue at
+   the watermark, so whatever is admitted behind them is past it. *)
+let send_wedges c ~id =
+  for i = id to id + 1 do
+    Client.send_line c
+      (Json.to_string
+         (Json.Obj
+            [ ("id", Json.Int i); ("op", Json.Str "eval");
+              ("query", Json.Str h0);
+              ("method", Json.Str "karp-luby");
+              ("no_degrade", Json.Bool true);
+              ("samples", Json.Int 2_000_000) ]))
+  done
+
+let send_eval c ~id ?(fields = []) q =
+  Client.send_line c
+    (Json.to_string
+       (Json.Obj
+          ([ ("id", Json.Int id); ("op", Json.Str "eval"); ("query", Json.Str q) ]
+          @ fields)))
+
+(* Reads [n] replies and returns those whose id is in [ids], by id. *)
+let recv_replies c ~n ~ids =
+  List.init n (fun _ ->
+      match Json.of_string (Client.recv_line c) with
+      | Error m -> Alcotest.failf "bad response: %s" m
+      | Ok resp -> resp)
+  |> List.filter_map (fun resp ->
+         match get "id" resp with
+         | Json.Int i when List.mem i ids -> Some (i, resp)
+         | _ -> None)
+
+let contains haystack needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length haystack && (String.sub haystack i n = needle || go (i + 1))
+  in
+  go 0
+
+let stat_int server name =
+  match Json.member name (Serve.stats_json server) with
+  | Some (Json.Int k) -> k
+  | _ -> Alcotest.failf "stats missing %s" name
+
+let test_cheap_templates_stay_exact_under_load () =
+  (* the cheap half of cost-aware backpressure: past the watermark, a
+     template whose exact evaluation is cheaper than the (eps,delta)
+     fallback — a safe join, and H0 on a small database — is probed once
+     to learn the fallback's cost and then answers exact, bit-identical
+     to in-process evaluation. The expensive half is "backpressure
+     degrades under load". *)
+  let config =
+    { Serve.default_config with
+      Serve.workers = 1;
+      queue_capacity = 32;
+      degrade_above = 1 }
+  in
+  let db = mixed_db () in
+  let cheap = [ "exists x y. R(x) && S(x,y)"; h0 ] in
+  let expected = List.map (fun q -> (q, local_value db q)) cheap in
+  with_server ~config db @@ fun server port ->
+  let c = Client.connect port in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (* below the watermark: the full costs are learned *)
+  for _ = 1 to 8 do
+    List.iter
+      (fun q -> Alcotest.(check bool) "ok" true (Client.ok (Client.eval c q)))
+      cheap
+  done;
+  let costs () =
+    Prepare.Cache.artifacts (Serve.plan_cache server)
+    |> List.map (fun a ->
+           Printf.sprintf "%s full %.3g s degraded %.3g s" a.Prepare.key
+             (Prepare.cost a Prepare.Full) (Prepare.cost a Prepare.Degraded))
+    |> String.concat "; "
+  in
+  let rounds = 3 and kinds = List.length cheap in
+  let burst ~base =
+    send_wedges c ~id:base;
+    let ids = List.init (rounds * kinds) (fun k -> base + 2 + k) in
+    List.iteri (fun k id -> send_eval c ~id (List.nth cheap (k mod kinds))) ids;
+    recv_replies c ~n:(2 + List.length ids) ~ids
+    |> List.map (fun (id, resp) ->
+           let q, want = List.nth expected ((id - base - 2) mod kinds) in
+           Alcotest.(check bool) ("ok for " ^ q) true (Client.ok resp);
+           let r = Client.result resp in
+           (q, want, r, bool_of "degraded_under_load" r))
+  in
+  (* first burst: one worker, so each template is degraded exactly once,
+     as the probe that learns its degraded cost *)
+  let first = burst ~base:100 in
+  List.iter
+    (fun q ->
+      let probes =
+        List.length (List.filter (fun (q', _, _, d) -> q' = q && d) first)
+      in
+      if probes <> 1 then
+        Alcotest.failf "%s degraded %d times past the watermark (costs: %s)" q
+          probes (costs ()))
+    cheap;
+  let probes = List.length (List.filter (fun (_, _, _, d) -> d) first) in
+  Alcotest.(check int) "stats count exactly the degraded replies" probes
+    (stat_int server "degraded_under_load");
+  (* second burst: costs learned, every answer exact and bit-identical *)
+  List.iter
+    (fun (q, want, r, degraded) ->
+      if degraded || not (bool_of "exact" r) then
+        Alcotest.failf "%s not exact past the watermark (costs: %s)" q (costs ());
+      let got = float_of "value" r in
+      if got <> want then
+        Alcotest.failf "%s: served %.17g <> local %.17g" q got want)
+    (burst ~base:200);
+  Alcotest.(check int) "no further degradation counted" probes
+    (stat_int server "degraded_under_load")
+
+let test_forall_evaluated_once_under_load () =
+  (* a template the fallback cannot sample (forall-H0: complemented atoms)
+     is never force-degraded, so past the watermark it is evaluated once —
+     not degraded, failed with no-method and re-run exactly *)
+  let config =
+    { Serve.default_config with
+      Serve.workers = 1;
+      queue_capacity = 32;
+      degrade_above = 1 }
+  in
+  let db = mixed_db () in
+  let q = "forall x y. R(x) || S(x,y) || T(y)" in
+  let want = local_value db q in
+  with_server ~config db @@ fun server port ->
+  let c = Client.connect port in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (* its full cost is known, so only samplability keeps it exact *)
+  for _ = 1 to 3 do ignore (Client.eval c q) done;
+  let queries = Probdb_obs.Metrics.counter "engine.queries" in
+  let before = Probdb_obs.Metrics.counter_value queries in
+  send_wedges c ~id:0;
+  let overrides = [ []; [ ("method", Json.Str "obdd") ] ] in
+  let ids = [ 2; 3; 4; 5 ] in
+  List.iter
+    (fun id ->
+      send_eval c ~id
+        ~fields:(("stats", Json.Bool true) :: List.nth overrides (id mod 2))
+        q)
+    ids;
+  List.iter
+    (fun (_, resp) ->
+      Alcotest.(check bool) "ok" true (Client.ok resp);
+      let r = Client.result resp in
+      Alcotest.(check bool) "exact" true (bool_of "exact" r);
+      Alcotest.(check bool) "not degraded under load" false
+        (bool_of "degraded_under_load" r);
+      let got = float_of "value" r in
+      if got <> want then Alcotest.failf "served %.17g <> local %.17g" got want;
+      (* one chain, with no step skipped as backpressure *)
+      match get "chain" r with
+      | Json.List steps ->
+          List.iter
+            (fun step ->
+              match get "detail" step with
+              | Json.Str d when contains d "degraded under load" ->
+                  Alcotest.failf "chain carries a backpressure skip: %s"
+                    (Json.to_string step)
+              | _ -> ())
+            steps
+      | _ -> Alcotest.fail "chain is not a list")
+    (recv_replies c ~n:(2 + List.length ids) ~ids);
+  Alcotest.(check int) "one engine evaluation per request (no retry)"
+    (2 + List.length ids)
+    (Probdb_obs.Metrics.counter_value queries - before);
+  Alcotest.(check int) "nothing counted as degraded" 0
+    (stat_int server "degraded_under_load")
 
 (* ---------- shutdown ---------- *)
 
@@ -784,6 +977,10 @@ let suites =
           test_degrades_under_load;
         Alcotest.test_case "no_degrade exempt from load degradation" `Slow
           test_no_degrade_exempt_under_load;
+        Alcotest.test_case "cheap templates stay exact under load" `Slow
+          test_cheap_templates_stay_exact_under_load;
+        Alcotest.test_case "unsamplable template evaluated once under load" `Slow
+          test_forall_evaluated_once_under_load;
         Alcotest.test_case "shutdown drains in-flight work" `Slow
           test_shutdown_drains_in_flight;
         Alcotest.test_case "stop now cancels in-flight work" `Slow
