@@ -19,6 +19,8 @@ docs:
 
 # Smoke test for the resource guards: an intractable query under a 2 s
 # deadline must come back as a degraded (ε,δ)-answer instead of hanging.
+# With --no-degrade and no applicable method, a closed query and its
+# --free twin must both fail with the typed no-method error (exit 6).
 # `timeout 10` is the belt to the deadline's braces — if the guard ever
 # regresses into a hang, this target fails rather than wedging CI.
 check-budget: build
@@ -31,7 +33,16 @@ check-budget: build
 		{ echo "check-budget: eval failed or hung (exit $$?)"; exit 1; }; \
 	echo "$$out" | grep -q '"degraded": true' || \
 		{ echo "check-budget: expected a degraded answer"; echo "$$out"; exit 1; }; \
-	echo "check-budget: degraded (ε,δ)-answer within deadline — OK"
+	echo "check-budget: degraded (ε,δ)-answer within deadline — OK"; \
+	for free in "--free x" ""; do \
+		if [ -n "$$free" ]; then q="R(x)"; else q="exists x. R(x)"; fi; \
+		timeout 10 dune exec --no-build bin/probdb.exe -- eval --db data/fig1 $$free \
+			--no-degrade --method symmetric "$$q" >/dev/null 2>"$$tmp/err"; code=$$?; \
+		{ [ $$code -eq 6 ] && grep -q '^probdb: no method' "$$tmp/err"; } || \
+			{ echo "check-budget: '$$q' $$free: expected exit 6 and 'probdb: no method', got exit $$code"; \
+			  cat "$$tmp/err"; exit 1; }; \
+	done; \
+	echo "check-budget: --no-degrade without a method is a typed no-method error (closed and --free) — OK"
 
 # Smoke test for the E15 parallel/columnar benchmark: run it at toy sizes
 # (PROBDB_BENCH_SMOKE=1) and assert BENCH_parallel.json carries the schema

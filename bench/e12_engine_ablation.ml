@@ -5,6 +5,8 @@
 module Core = Probdb_core
 module L = Probdb_logic
 module E = Probdb_engine.Engine
+module Answer = Probdb_engine.Answer
+module Err = Probdb_core.Probdb_error
 module Gen = Probdb_workload.Gen
 module Q = Probdb_workload.Queries
 
@@ -19,17 +21,20 @@ let db_for q ~n =
 
 let cell db q s =
   let config =
-    { E.default_config with E.strategies = [ s ]; E.kl_samples = 30_000 }
+    { E.default_config with
+      E.strategies = [ s ]; E.kl_samples = 30_000; E.degrade = None }
   in
-  match Common.time (fun () -> E.evaluate ~config db q) with
-  | r, dt ->
-      let v = E.value r.E.outcome in
-      let mark = match r.E.outcome with E.Exact _ -> "" | E.Approximate _ -> "~" in
-      Printf.sprintf "%s%.4f %s" mark v (Common.pretty_time dt)
-  | exception E.No_method ((_, reason) :: _) ->
-      let short = if String.length reason > 18 then String.sub reason 0 18 ^ "…" else reason in
-      "✗ " ^ short
-  | exception E.No_method [] -> "✗"
+  let refused reason =
+    let short = if String.length reason > 18 then String.sub reason 0 18 ^ "…" else reason in
+    "✗ " ^ short
+  in
+  match Common.time (fun () -> E.eval ~config db q) with
+  | Ok a, dt ->
+      let mark = if a.Answer.exact then "" else "~" in
+      Printf.sprintf "%s%.4f %s" mark a.Answer.value (Common.pretty_time dt)
+  | Error (Err.No_method ((_, reason) :: _)), _ -> refused reason
+  | Error (Err.Exhausted { detail; _ }), _ -> refused detail
+  | Error _, _ -> "✗"
 
 let matrix () =
   Common.section "per-strategy results (value + time; ~ marks sampling; ✗ = method refuses)";
@@ -52,12 +57,13 @@ let dispatcher () =
     List.map
       (fun ((e : Q.entry), n) ->
         let db = db_for e.Q.query ~n in
-        let r = E.evaluate db e.Q.query in
-        [ e.Q.name;
-          E.strategy_name r.E.strategy;
-          Common.f6 (E.value r.E.outcome);
-          String.concat "; "
-            (List.map (fun (s, _) -> E.strategy_name s) r.E.skipped) ])
+        match E.eval db e.Q.query with
+        | Ok a ->
+            [ e.Q.name;
+              a.Answer.strategy;
+              Common.f6 a.Answer.value;
+              String.concat "; " (List.map Answer.step_strategy a.Answer.chain) ]
+        | Error err -> [ e.Q.name; "✗ " ^ Err.render err; ""; "" ])
       queries
   in
   Common.table ([ "query"; "answered by"; "value"; "skipped" ] :: rows)

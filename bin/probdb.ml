@@ -309,7 +309,7 @@ let eval_run db_dir text free meth samples deadline_ms eps delta no_degrade
       | Error e -> Err.raise_ e)
   | _ ->
       let answers = E.answers ~config ~free db q in
-      List.iter (fun (_, (r : E.report)) -> record_storage db r.E.stats) answers;
+      List.iter (fun (_, (a : Answer.t)) -> record_storage db a.Answer.stats) answers;
       if stats_json then
         print_endline
           (Obs.Json.to_string ~pretty:true
@@ -318,22 +318,22 @@ let eval_run db_dir text free meth samples deadline_ms eps delta no_degrade
                   ( "bindings",
                     Obs.Json.List
                       (List.map
-                         (fun (binding, (r : E.report)) ->
+                         (fun (binding, (a : Answer.t)) ->
                            Obs.Json.Obj
                              [ ( "binding",
                                  Obs.Json.List
                                    (List.map
                                       (fun v -> Obs.Json.Str (Core.Value.to_string v))
                                       binding) );
-                               ("stats", Stats.to_json r.E.stats) ])
+                               ("stats", Stats.to_json a.Answer.stats) ])
                          answers) ) ]))
       else
         List.iter
-          (fun (binding, r) ->
+          (fun (binding, (a : Answer.t)) ->
             Format.printf "%s -> %a@."
               (String.concat ", " (List.map Core.Value.to_string binding))
-              E.pp_report r;
-            if show_stats then Format.printf "%a" Stats.pp r.E.stats)
+              Answer.pp a;
+            if show_stats then Format.printf "%a" Stats.pp a.Answer.stats)
           answers;
       finish ()
 

@@ -8,6 +8,7 @@
 module Core = Probdb_core
 module L = Probdb_logic
 module E = Probdb_engine.Engine
+module Answer = Probdb_engine.Answer
 module P = Probdb_plans
 
 let v = Core.Value.str
@@ -58,18 +59,18 @@ let () =
   (* Q2: is some VIP involved in a duplicate? Hierarchical join: the engine
      answers by lifted inference. *)
   let q2 = L.Parser.parse_sentence "exists a b. Vip(a) && SameAs(a,b)" in
-  let r2 = E.evaluate db q2 in
+  let a2 = Result.get_ok (E.eval db q2) in
   Format.printf "p(a VIP has a duplicate)          = %.6f  [%s]@."
-    (E.value r2.E.outcome) (E.strategy_name r2.E.strategy);
+    a2.Answer.value a2.Answer.strategy;
 
   (* Q3: per-record probability of being duplicated — a non-Boolean query. *)
   Format.printf "@.per-record duplication marginals:@.";
   let q3 = L.Parser.parse ~free:[ "a" ] "exists b. SameAs(a,b) || SameAs(b,a)" in
   List.iter
-    (fun (binding, r) ->
+    (fun (binding, (a : Answer.t)) ->
       Format.printf "  %-8s %.6f@."
         (Core.Value.to_string (List.hd binding))
-        (E.value r.E.outcome))
+        a.Answer.value)
     (E.answers ~free:[ "a" ] db q3);
 
   (* Q4: a *hard* query — a VIP record linked to a recently-active record.
@@ -77,9 +78,9 @@ let () =
      refuses, the engine answers exactly by grounded compilation, and the
      Sec. 6 plan bounds bracket it with no inference at all. *)
   let q4 = L.Parser.parse_sentence "exists a b. Vip(a) && SameAs(a,b) && Active(b)" in
-  let r4 = E.evaluate db q4 in
+  let a4 = Result.get_ok (E.eval db q4) in
   Format.printf "@.p(VIP linked to an active record) = %.6f  [%s]@."
-    (E.value r4.E.outcome) (E.strategy_name r4.E.strategy);
+    a4.Answer.value a4.Answer.strategy;
   (match L.Ucq.of_sentence q4 with
   | [ cq ], L.Ucq.Direct ->
       let b = P.Bounds.bracket db cq in

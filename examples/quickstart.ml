@@ -6,6 +6,7 @@
 module Core = Probdb_core
 module L = Probdb_logic
 module E = Probdb_engine.Engine
+module Answer = Probdb_engine.Answer
 
 let () =
   (* A TID is a set of relations whose tuples carry marginal probabilities
@@ -34,8 +35,8 @@ let () =
   (* Boolean query: is some paper authored by a researcher? The concrete
      syntax is plain FO; quantified identifiers are variables. *)
   let q = L.Parser.parse_sentence "exists x y. Researcher(x) && Author(x,y)" in
-  let report = E.evaluate db q in
-  Format.printf "p(%a) =@.  %a@.@." L.Fo.pp q E.pp_report report;
+  let answer = Result.get_ok (E.eval db q) in
+  Format.printf "p(%a) =@.  %a@.@." L.Fo.pp q Answer.pp answer;
 
   (* The query is hierarchical, so the engine used lifted inference: exact
      and polynomial-time. Compare with exhaustive enumeration: *)
@@ -46,10 +47,10 @@ let () =
   let open_q = L.Parser.parse ~free:[ "x" ] "exists y. Researcher(x) && Author(x,y)" in
   Format.printf "Per-person marginals:@.";
   List.iter
-    (fun (binding, r) ->
+    (fun (binding, (a : Answer.t)) ->
       Format.printf "  %s : %.6f (via %s)@."
         (String.concat ", " (List.map Core.Value.to_string binding))
-        (E.value r.E.outcome) (E.strategy_name r.E.strategy))
+        a.Answer.value a.Answer.strategy)
     (E.answers ~free:[ "x" ] db open_q);
 
   (* A constraint-style query (Example 2.1): every authored paper has a

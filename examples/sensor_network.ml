@@ -11,6 +11,7 @@
 module Core = Probdb_core
 module L = Probdb_logic
 module E = Probdb_engine.Engine
+module Answer = Probdb_engine.Answer
 module P = Probdb_plans
 module Sym = Probdb_symmetric
 module Gen = Probdb_workload.Gen
@@ -35,8 +36,8 @@ let () =
 
   (* The engine: lifted inference refuses (the query is non-hierarchical,
      hence #P-hard), grounded compilation answers exactly at this size. *)
-  let r = E.evaluate db blackout in
-  Format.printf "p(blackout risk) = %a@.@." E.pp_report r;
+  let a = Result.get_ok (E.eval db blackout) in
+  Format.printf "p(blackout risk) = %a@.@." Answer.pp a;
 
   (* Plan bounds (Thm. 6.1): instant, any scale. *)
   (match L.Ucq.of_sentence blackout with
@@ -57,9 +58,9 @@ let () =
     { E.default_config with
       E.strategies = [ E.Karp_luby ]; E.kl_samples = 50_000 }
   in
-  let r_big = E.evaluate ~config big blackout in
+  let a_big = Result.get_ok (E.eval ~config big blackout) in
   Format.printf "@.at n = 40 (%d tuples), sampling takes over:@  %a@.@."
-    (Core.Tid.support_size big) E.pp_report r_big;
+    (Core.Tid.support_size big) Answer.pp a_big;
 
   (* Fleet design: if every sensor/link/zone were identical (a symmetric
      database, Sec. 8), coverage probability has a polynomial closed form —

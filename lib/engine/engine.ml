@@ -11,7 +11,6 @@ module Prepare = Probdb_prepare.Prepare
 module Karp_luby = Probdb_approx.Karp_luby
 module Stats = Probdb_obs.Stats
 module Clock = Probdb_obs.Clock
-module Counter = Probdb_obs.Counter
 module Trace = Probdb_obs.Trace
 module Metrics = Probdb_obs.Metrics
 module Json = Probdb_obs.Json
@@ -111,27 +110,20 @@ let force_degrade config =
       | Some _ as d -> d
       | None -> default_config.degrade) }
 
-let exact_only =
-  { default_config with
-    strategies =
-      [ Lifted; Symmetric; Safe_plan; Read_once; Wmc; Obdd; Dpll; World_enum ] }
-
-(* Process-wide metrics (aggregating across queries, unlike [Stats.t]);
-   the legacy [Counter] module keeps receiving the same increments so
-   existing consumers of [Counter.read] are unaffected. *)
+(* Process-wide metrics (aggregating across queries, unlike [Stats.t]).
+   The per-strategy win counters are resolved once, not per answer. *)
 let m_queries = Metrics.counter "engine.queries"
 
 let m_degraded = Metrics.counter "engine.degraded"
 
 let m_latency = Metrics.histogram "engine.query_latency_s"
 
-let count_query () =
-  Counter.incr "engine.queries";
-  Metrics.incr m_queries
+let m_wins =
+  List.map
+    (fun s -> (s, Metrics.counter ("engine.strategy." ^ strategy_name s)))
+    default_config.strategies
 
-let count_win s =
-  Counter.incr ("engine.strategy." ^ strategy_name s);
-  Metrics.incr (Metrics.counter ("engine.strategy." ^ strategy_name s))
+let count_win s = Metrics.incr (List.assoc s m_wins)
 
 (* The evaluation-config echo surfaced as the [config] section of
    --stats-json: enough to re-run the query the same way. *)
@@ -164,20 +156,13 @@ let config_fields config =
 let echo_config stats config =
   if stats.Stats.config = [] then stats.Stats.config <- config_fields config
 
-type outcome = Exact of float | Approximate of { value : float; std_error : float }
-
-let value = function Exact v -> v | Approximate { value; _ } -> value
-
-type report = {
-  outcome : outcome;
-  strategy : strategy;
-  skipped : (strategy * string) list;
-  stats : Stats.t;
-}
-
-exception No_method of (strategy * string) list
-
-type attempt = Ok_outcome of outcome | Skip of string | Trip of Guard.trip
+(* What one strategy attempt came to: an exact value, a sampled one with
+   its standard error, a refusal, or a guard trip. *)
+type attempt =
+  | Exact of float
+  | Sampled of { value : float; std_error : float }
+  | Skip of string
+  | Trip of Guard.trip
 
 (* Guard assembly: all knobs off means the shared no-op guard, so the
    default configuration pays nothing at the poll sites. *)
@@ -217,7 +202,7 @@ let try_lifted stats guard pool db q =
   match Lift.probability ~stats:rule_stats ~guard ?pool db q with
   | p ->
       stats.Stats.lifted <- Some (Lift.obs_counts rule_stats);
-      Ok_outcome (Exact p)
+      Exact p
   | exception Lift.Unsafe msg -> Skip ("rules fail: " ^ msg)
   | exception Ucq.Unsupported msg -> Skip ("fragment: " ^ msg)
 
@@ -253,7 +238,7 @@ let try_symmetric guard db q =
   | None -> Skip "database is not symmetric"
   | Some sym -> (
       match Probdb_symmetric.Wfomc.probability ~guard sym q with
-      | p -> Ok_outcome (Exact p)
+      | p -> Exact p
       | exception Probdb_symmetric.Wfomc.Unsupported msg -> Skip ("FO2 fragment: " ^ msg))
 
 (* The prepared variants below consume the cached structural artifact
@@ -271,29 +256,37 @@ let ucq_of ?prepared q =
       | r -> Ok r
       | exception Ucq.Unsupported msg -> Error msg)
 
-let try_read_once ?prepared db q =
+(* The monotone DNF lineage of a query in the UCQ fragment, with the mode
+   that maps its probability back to the query's. Read-once factorisation
+   and both Karp–Luby paths consume it; [Error] carries the skip reason. *)
+let monotone_dnf ?prepared db q =
   match ucq_of ?prepared q with
-  | Error msg -> Skip ("fragment: " ^ msg)
+  | Error msg -> Error ("fragment: " ^ msg)
   | Ok (ucq, mode) -> (
       if
         List.exists
           (List.exists (fun (a : Probdb_logic.Cq.atom) -> a.Probdb_logic.Cq.comp))
           ucq
-      then Skip "complemented atoms (lineage is not a monotone DNF)"
+      then Error "complemented atoms (lineage is not a monotone DNF)"
       else
         let ctx = Lineage.create db in
         match Lineage.dnf_of_ucq ctx ucq with
-        | exception Invalid_argument msg -> Skip msg
-        | clauses -> (
-            match Probdb_kc.Read_once.probability (Lineage.prob ctx) clauses with
-            | Some p -> Ok_outcome (Exact (Ucq.apply_mode mode p))
-            | None -> Skip "lineage is not read-once"))
+        | exception Invalid_argument msg -> Error msg
+        | clauses -> Ok (ctx, clauses, mode))
+
+let try_read_once ?prepared db q =
+  match monotone_dnf ?prepared db q with
+  | Error reason -> Skip reason
+  | Ok (ctx, clauses, mode) -> (
+      match Probdb_kc.Read_once.probability (Lineage.prob ctx) clauses with
+      | Some p -> Exact (Ucq.apply_mode mode p)
+      | None -> Skip "lineage is not read-once")
 
 let run_safe_plan stats guard db plan =
   let p, plan_counts, rows = Plan.boolean_prob_counting ~guard db plan in
   stats.Stats.plan <- Some plan_counts;
   stats.Stats.rows_processed <- stats.Stats.rows_processed + rows;
-  Ok_outcome (Exact p)
+  Exact p
 
 let try_safe_plan ?prepared stats guard db q =
   match prepared with
@@ -336,7 +329,7 @@ let try_obdd config stats guard db q =
       match Obdd.of_formula manager f with
       | bdd ->
           stats.Stats.circuit <- Some (Obdd.obs_counts bdd);
-          Ok_outcome (Exact (Obdd.wmc manager (Lineage.prob ctx) bdd))
+          Exact (Obdd.wmc manager (Lineage.prob ctx) bdd)
       | exception Obdd.Node_limit n ->
           (* solver-internal cap: same class of event as a guard budget *)
           Trip
@@ -368,7 +361,7 @@ let try_wmc config stats guard db q =
             stats.Stats.memo_hit_rate <-
               Stats.hit_rate ~hits:r.Wmc.stats.Wmc.cache_hits
                 ~queries:r.Wmc.stats.Wmc.cache_queries;
-            Ok_outcome (Exact r.Wmc.prob)
+            Exact r.Wmc.prob
         | exception Wmc.Decision_limit n ->
             Trip
               { Guard.resource = Guard.Work "wmc.decisions";
@@ -391,7 +384,7 @@ let try_dpll config stats guard db q =
           stats.Stats.memo_hit_rate <-
             Stats.hit_rate ~hits:r.Dpll.stats.Dpll.cache_hits
               ~queries:r.Dpll.stats.Dpll.cache_queries;
-          Ok_outcome (Exact r.Dpll.prob)
+          Exact r.Dpll.prob
       | exception Dpll.Decision_limit n ->
           Trip
             { Guard.resource = Guard.Work "dpll.decisions";
@@ -399,37 +392,34 @@ let try_dpll config stats guard db q =
               limit = float_of_int n;
               spent = float_of_int n })
 
+(* The DNF Karp–Luby samples: the monotone lineage, on standard
+   probabilities only (the estimator's weights must be probabilities). *)
+let sampling_dnf ?prepared db q =
+  if not (Core.Tid.is_standard db) then Error "non-standard probabilities"
+  else monotone_dnf ?prepared db q
+
+let kl_estimate ?guard config pool ~samples ctx clauses =
+  let prob = Lineage.prob ctx in
+  match pool with
+  | Some pool ->
+      Karp_luby.estimate_par ~seed:config.seed ?guard ~pool ~samples ~prob clauses
+  | None -> Karp_luby.estimate ~seed:config.seed ?guard ~samples ~prob clauses
+
 let try_karp_luby ?prepared config guard pool db q =
-  if not (Core.Tid.is_standard db) then Skip "non-standard probabilities"
-  else
-    match ucq_of ?prepared q with
-    | Error msg -> Skip ("fragment: " ^ msg)
-    | Ok (ucq, mode) -> (
-        if List.exists (List.exists (fun (a : Probdb_logic.Cq.atom) -> a.Probdb_logic.Cq.comp)) ucq
-        then Skip "complemented atoms (lineage is not a monotone DNF)"
-        else
-          let ctx = Lineage.create db in
-          match Lineage.dnf_of_ucq ctx ucq with
-          | exception Invalid_argument msg -> Skip msg
-          | clauses ->
-              let est =
-                match pool with
-                | Some pool ->
-                    Karp_luby.estimate_par ~seed:config.seed ~guard ~pool
-                      ~samples:config.kl_samples ~prob:(Lineage.prob ctx) clauses
-                | None ->
-                    Karp_luby.estimate ~seed:config.seed ~guard
-                      ~samples:config.kl_samples ~prob:(Lineage.prob ctx) clauses
-              in
-              let v = Ucq.apply_mode mode est.Karp_luby.mean in
-              Ok_outcome (Approximate { value = v; std_error = est.Karp_luby.std_error }))
+  match sampling_dnf ?prepared db q with
+  | Error reason -> Skip reason
+  | Ok (ctx, clauses, mode) ->
+      let est = kl_estimate ~guard config pool ~samples:config.kl_samples ctx clauses in
+      Sampled
+        { value = Ucq.apply_mode mode est.Karp_luby.mean;
+          std_error = est.Karp_luby.std_error }
 
 let try_world_enum config db q =
   if Core.Tid.support_size db > config.max_enum_support then
     Skip
       (Printf.sprintf "support %d exceeds enumeration budget %d"
          (Core.Tid.support_size db) config.max_enum_support)
-  else Ok_outcome (Exact (Probdb_logic.Brute_force.probability db q))
+  else Exact (Probdb_logic.Brute_force.probability db q)
 
 let attempt ?prepared config stats guard pool db q s =
   let run () =
@@ -476,58 +466,6 @@ let promote_safe_plan prepared strategies =
       Safe_plan :: List.filter (fun s -> s <> Safe_plan) strategies
   | _ -> strategies
 
-let evaluate ?(config = default_config) ?stats ?prepared db q =
-  if not (Fo.is_sentence q) then
-    invalid_arg "Engine.evaluate: open formula (use Engine.answers)";
-  let stats = match stats with Some s -> s | None -> Stats.create () in
-  if stats.Stats.query = None then
-    stats.Stats.query <- Some (Format.asprintf "%a" Fo.pp q);
-  count_query ();
-  echo_config stats config;
-  let guard = guard_of_config config in
-  let pool = pool_of_config config in
-  let prepared = acquire_prepared config stats prepared q in
-  let strategies = promote_safe_plan prepared config.strategies in
-  let rec go skipped = function
-    | [] ->
-        stats.Stats.skipped <-
-          List.rev_map (fun (s, m) -> (strategy_name s, m)) skipped;
-        raise (No_method (List.rev skipped))
-    | s :: rest -> (
-        (* [Plan.safe_plan] time lands in the Plan phase inside the attempt;
-           subtract it so Classify/Solve only get what is really theirs. *)
-        let plan_before = stats.Stats.plan_s in
-        let result, dt =
-          Clock.time (fun () -> attempt ?prepared config stats guard pool db q s)
-        in
-        let dt = Float.max 0.0 (dt -. (stats.Stats.plan_s -. plan_before)) in
-        match result with
-        | Ok_outcome outcome ->
-            Stats.record_phase stats Stats.Solve dt;
-            stats.Stats.strategy <- Some (strategy_name s);
-            stats.Stats.probability <- Some (value outcome);
-            (match outcome with
-            | Exact _ -> stats.Stats.exact <- true
-            | Approximate { std_error; _ } ->
-                stats.Stats.exact <- false;
-                stats.Stats.std_error <- Some std_error);
-            stats.Stats.skipped <-
-              List.rev_map (fun (s, m) -> (strategy_name s, m)) skipped;
-            record_pool stats pool;
-            count_win s;
-            Metrics.observe m_latency (Stats.total_s stats);
-            { outcome; strategy = s; skipped = List.rev skipped; stats }
-        | Skip reason ->
-            Stats.record_phase stats Stats.Classify dt;
-            go ((s, reason) :: skipped) rest
-        | Trip trip ->
-            Stats.record_phase stats Stats.Classify dt;
-            go ((s, Guard.describe trip) :: skipped) rest)
-  in
-  go [] strategies
-
-(* ---------- guaranteed-completion evaluation ---------- *)
-
 (* The (ε,δ) fallback: Karp–Luby on the monotone DNF lineage, with the
    sample count from the classical FPRAS bound capped at [max_samples].
    Runs unguarded — sampling is the one method whose cost is fixed up
@@ -535,45 +473,25 @@ let evaluate ?(config = default_config) ?stats ?prepared db q =
    no monotone DNF lineage to sample (complemented atoms, non-standard
    probabilities, outside the UCQ fragment). *)
 let kl_fallback ?prepared config pool ~eps ~delta ~max_samples db q =
-  if not (Core.Tid.is_standard db) then None
-  else
-    match ucq_of ?prepared q with
-    | Error _ -> None
-    | Ok (ucq, mode) -> (
-        if
-          List.exists
-            (List.exists (fun (a : Probdb_logic.Cq.atom) -> a.Probdb_logic.Cq.comp))
-            ucq
-        then None
-        else
-          let ctx = Lineage.create db in
-          match Lineage.dnf_of_ucq ctx ucq with
-          | exception Invalid_argument _ -> None
-          | clauses ->
-              let m = max 1 (List.length clauses) in
-              let samples =
-                min (Karp_luby.required_samples ~eps ~delta ~clauses:m) max_samples
-              in
-              let est =
-                match pool with
-                | Some pool ->
-                    Karp_luby.estimate_par ~seed:config.seed ~pool ~samples
-                      ~prob:(Lineage.prob ctx) clauses
-                | None ->
-                    Karp_luby.estimate ~seed:config.seed ~samples
-                      ~prob:(Lineage.prob ctx) clauses
-              in
-              let lo, hi = Karp_luby.confidence_interval ~delta est in
-              let v = Ucq.apply_mode mode est.Karp_luby.mean in
-              let lo, hi =
-                match mode with
-                | Ucq.Direct -> (lo, hi)
-                | Ucq.Complemented -> (1.0 -. hi, 1.0 -. lo)
-              in
-              Some
-                ( v,
-                  est.Karp_luby.std_error,
-                  { Answer.ci_low = lo; ci_high = hi; eps; delta; samples } ))
+  match sampling_dnf ?prepared db q with
+  | Error _ -> None
+  | Ok (ctx, clauses, mode) ->
+      let m = max 1 (List.length clauses) in
+      let samples =
+        min (Karp_luby.required_samples ~eps ~delta ~clauses:m) max_samples
+      in
+      let est = kl_estimate config pool ~samples ctx clauses in
+      let lo, hi = Karp_luby.confidence_interval ~delta est in
+      let v = Ucq.apply_mode mode est.Karp_luby.mean in
+      let lo, hi =
+        match mode with
+        | Ucq.Direct -> (lo, hi)
+        | Ucq.Complemented -> (1.0 -. hi, 1.0 -. lo)
+      in
+      Some
+        ( v,
+          est.Karp_luby.std_error,
+          { Answer.ci_low = lo; ci_high = hi; eps; delta; samples } )
 
 let eval ?(config = default_config) ?stats ?prepared db q =
   if not (Fo.is_sentence q) then
@@ -581,23 +499,50 @@ let eval ?(config = default_config) ?stats ?prepared db q =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   if stats.Stats.query = None then
     stats.Stats.query <- Some (Format.asprintf "%a" Fo.pp q);
-  count_query ();
+  Metrics.incr m_queries;
   echo_config stats config;
   let guard = guard_of_config config in
   let pool = pool_of_config config in
   let prepared = acquire_prepared config stats prepared q in
-  (* With degradation on, Karp–Luby is reserved for the fallback so that
-     [degraded = true] means exactly "no exact strategy completed". *)
+  (* Karp–Luby is a strategy of its own only as the whole list (--method
+     karp-luby); otherwise it is reachable only through the certified
+     fallback, so every answer is exact, degraded with a confidence
+     interval, or a typed error. *)
   let strategies =
-    match config.degrade with
-    | Some _ -> List.filter (fun s -> s <> Karp_luby) config.strategies
-    | None -> config.strategies
+    if config.strategies = [ Karp_luby ] then config.strategies
+    else List.filter (fun s -> s <> Karp_luby) config.strategies
   in
   let strategies = promote_safe_plan prepared strategies in
   let finish_stats chain =
     stats.Stats.chain <- Answer.chain_to_stats chain;
     stats.Stats.skipped <-
       List.map (fun s -> (Answer.step_strategy s, Answer.step_detail s)) chain
+  in
+  let answer s ~value ?std_error ?confidence chain =
+    finish_stats chain;
+    record_pool stats pool;
+    stats.Stats.strategy <- Some (strategy_name s);
+    stats.Stats.probability <- Some value;
+    stats.Stats.exact <- std_error = None;
+    stats.Stats.std_error <- std_error;
+    Option.iter
+      (fun c ->
+        stats.Stats.degraded <- true;
+        stats.Stats.ci_low <- Some c.Answer.ci_low;
+        stats.Stats.ci_high <- Some c.Answer.ci_high;
+        stats.Stats.samples <- Some c.Answer.samples;
+        Metrics.incr m_degraded)
+      confidence;
+    count_win s;
+    Metrics.observe m_latency (Stats.total_s stats);
+    Result.Ok
+      { Answer.value;
+        exact = std_error = None;
+        strategy = strategy_name s;
+        degraded = confidence <> None;
+        confidence;
+        chain;
+        stats }
   in
   let fail chain =
     finish_stats chain;
@@ -628,29 +573,8 @@ let eval ?(config = default_config) ?stats ?prepared db q =
         Stats.record_phase stats Stats.Solve dt;
         match result with
         | None -> fail chain
-        | Some (v, std_error, confidence) ->
-            finish_stats chain;
-            record_pool stats pool;
-            stats.Stats.strategy <- Some (strategy_name Karp_luby);
-            stats.Stats.probability <- Some v;
-            stats.Stats.exact <- false;
-            stats.Stats.std_error <- Some std_error;
-            stats.Stats.degraded <- true;
-            stats.Stats.ci_low <- Some confidence.Answer.ci_low;
-            stats.Stats.ci_high <- Some confidence.Answer.ci_high;
-            stats.Stats.samples <- Some confidence.Answer.samples;
-            Counter.incr "engine.degraded";
-            Metrics.incr m_degraded;
-            count_win Karp_luby;
-            Metrics.observe m_latency (Stats.total_s stats);
-            Result.Ok
-              { Answer.value = v;
-                exact = false;
-                strategy = strategy_name Karp_luby;
-                degraded = true;
-                confidence = Some confidence;
-                chain;
-                stats })
+        | Some (value, std_error, confidence) ->
+            answer Karp_luby ~value ~std_error ~confidence chain)
   in
   let rec go chain = function
     | [] -> degrade_or_fail (List.rev chain)
@@ -665,39 +589,20 @@ let eval ?(config = default_config) ?stats ?prepared db q =
           :: chain)
           rest
     | s :: rest -> (
+        (* [Plan.safe_plan] time lands in the Plan phase inside the attempt;
+           subtract it so Classify/Solve only get what is really theirs. *)
         let plan_before = stats.Stats.plan_s in
         let result, dt =
           Clock.time (fun () -> attempt ?prepared config stats guard pool db q s)
         in
         let dt = Float.max 0.0 (dt -. (stats.Stats.plan_s -. plan_before)) in
         match result with
-        | Ok_outcome outcome ->
+        | Exact value ->
             Stats.record_phase stats Stats.Solve dt;
-            let chain = List.rev chain in
-            finish_stats chain;
-            record_pool stats pool;
-            stats.Stats.strategy <- Some (strategy_name s);
-            stats.Stats.probability <- Some (value outcome);
-            let exact, confidence =
-              match outcome with
-              | Exact _ ->
-                  stats.Stats.exact <- true;
-                  (true, None)
-              | Approximate { std_error; _ } ->
-                  stats.Stats.exact <- false;
-                  stats.Stats.std_error <- Some std_error;
-                  (false, None)
-            in
-            count_win s;
-            Metrics.observe m_latency (Stats.total_s stats);
-            Result.Ok
-              { Answer.value = value outcome;
-                exact;
-                strategy = strategy_name s;
-                degraded = false;
-                confidence;
-                chain;
-                stats }
+            answer s ~value (List.rev chain)
+        | Sampled { value; std_error } ->
+            Stats.record_phase stats Stats.Solve dt;
+            answer s ~value ~std_error (List.rev chain)
         | Skip reason ->
             Stats.record_phase stats Stats.Classify dt;
             go (Answer.Skipped { strategy = strategy_name s; reason } :: chain) rest
@@ -707,7 +612,10 @@ let eval ?(config = default_config) ?stats ?prepared db q =
   in
   go [] strategies
 
-let probability ?config db q = value (evaluate ?config db q).outcome
+let eval_exn ?config db q =
+  match eval ?config db q with Ok a -> a | Error e -> Error.raise_ e
+
+let probability ?config db q = (eval_exn ?config db q).Answer.value
 
 let answers ?config ~free db q =
   let undeclared = List.filter (fun v -> not (List.mem v free)) (Fo.free_vars q) in
@@ -727,24 +635,12 @@ let answers ?config ~free db q =
          let ground =
            List.fold_left2 (fun f x v -> Fo.subst_const x v f) q free binding
          in
-         let report = evaluate ?config db ground in
-         if value report.outcome > 0.0 then Some (binding, report) else None)
+         let a = eval_exn ?config db ground in
+         if a.Answer.value > 0.0 then Some (binding, a) else None)
   |> List.sort (fun (a, _) (b, _) -> Core.Tuple.compare a b)
 
 let expected_answer_count ?config ~free db q =
   List.fold_left
-    (fun acc (_, report) -> acc +. value report.outcome)
+    (fun acc (_, a) -> acc +. a.Answer.value)
     0.0
     (answers ?config ~free db q)
-
-let pp_report ppf r =
-  let pp_outcome ppf = function
-    | Exact v -> Format.fprintf ppf "%.9g (exact)" v
-    | Approximate { value; std_error } ->
-        Format.fprintf ppf "%.9g (±%.2g at 95%%)" value (1.96 *. std_error)
-  in
-  Format.fprintf ppf "@[<v>%a via %s" pp_outcome r.outcome (strategy_name r.strategy);
-  List.iter
-    (fun (s, reason) -> Format.fprintf ppf "@   %s skipped: %s" (strategy_name s) reason)
-    r.skipped;
-  Format.fprintf ppf "@]"

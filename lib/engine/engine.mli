@@ -26,7 +26,10 @@
     + {e DPLL with caching and components} (Sec. 7) — exact, grounded,
       capped by a decision budget;
     + {e Karp–Luby sampling} on the DNF lineage — an FPRAS for monotone
-      UCQs when everything exact has failed;
+      UCQs. It runs as a strategy only when it is the whole list
+      ([--method karp-luby]); otherwise it is reached only through the
+      certified (ε,δ) fallback of {!eval} when everything exact has
+      failed;
     + {e possible-world enumeration} — the last resort for tiny databases.
 
     Every answer reports which method produced it and why the earlier ones
@@ -79,14 +82,14 @@ type config = {
       (** deterministic fault injection, for tests *)
   degrade : degrade option;
       (** [Some _]: {!eval} falls back to the (ε,δ) Karp–Luby approximation
-          when every exact strategy is skipped or tripped, and Karp–Luby is
-          removed from the main strategy loop. [None]: {!eval} fails
-          instead. Ignored by the legacy {!evaluate}. *)
+          when every exact strategy is skipped or tripped. [None]: {!eval}
+          fails instead, so the answer is exact or a typed error. Either
+          way Karp–Luby stays out of the main strategy loop unless it is
+          the only configured strategy. *)
   force_degraded : bool;
       (** when set (by {!force_degrade}), {!eval} skips every exact
           strategy — recording each as a skipped step in the degradation
-          chain — and answers directly with the (ε,δ) fallback. Ignored
-          by the legacy {!evaluate}. *)
+          chain — and answers directly with the (ε,δ) fallback. *)
   domains : int;
       (** OCaml domains for the parallel runtime ([probdb.par]). At [1]
           (the default) no pool is created and every strategy runs its
@@ -102,7 +105,7 @@ type config = {
           server passes one server-wide guard here so a hard shutdown can
           stop every in-flight query cooperatively. *)
   plan_cache : Probdb_prepare.Prepare.Cache.t option;
-      (** when set, {!eval}/{!evaluate} run the prepared pipeline: the
+      (** when set, {!eval} runs the prepared pipeline: the
           query's structural key (constants lifted to parameters) is looked
           up in this shared compiled-plan cache, a miss builds and caches
           the artifact (UCQ reduction, minimisation, classification,
@@ -124,9 +127,6 @@ val default_config : config
     no fault; degradation on at [eps = 0.1], [delta = 0.05], at most 20k
     samples; one domain (sequential). *)
 
-val exact_only : config
-(** Drops Karp–Luby. *)
-
 val force_degrade : config -> config
 (** The serving-time backpressure transform: set [force_degraded] so
     {!eval} skips every exact method — each recorded as a skipped step in
@@ -138,45 +138,6 @@ val force_degrade : config -> config
     Queries with no monotone DNF lineage to sample still come back as
     [Error (No_method _)]. *)
 
-type outcome =
-  | Exact of float
-  | Approximate of { value : float; std_error : float }
-
-val value : outcome -> float
-
-type report = {
-  outcome : outcome;
-  strategy : strategy;  (** the method that produced the answer *)
-  skipped : (strategy * string) list;  (** earlier methods and why they failed *)
-  stats : Probdb_obs.Stats.t;
-      (** per-query observability record: phase timings, lifted-rule tally,
-          DPLL counters, circuit sizes, plan cardinalities (docs/STATS.md) *)
-}
-
-exception No_method of (strategy * string) list
-(** Every configured strategy failed; the payload says why. *)
-
-val evaluate :
-  ?config:config ->
-  ?stats:Probdb_obs.Stats.t ->
-  ?prepared:Probdb_prepare.Prepare.bound ->
-  Probdb_core.Tid.t ->
-  Probdb_logic.Fo.t ->
-  report
-(** Tries the configured strategies in order and returns the first answer.
-    Always-on instrumentation: phase timings and per-solver counters are
-    recorded into [stats] (a fresh record when not supplied) and returned
-    in the report. Pass [?stats] to carry CLI-side timings (e.g. parse
-    time) into the same record.
-
-    @param config strategy list and budgets (default {!default_config}).
-    @param stats the record to fill; freshly created when absent.
-    @param prepared a pre-resolved artifact binding for [q] (e.g. from
-      {!Probdb_prepare.Prepare.Cache.resolve_text}); when absent and
-      [config.plan_cache] is set, the engine resolves one itself.
-    @raise Invalid_argument on open formulas — use {!answers}.
-    @raise No_method when every configured strategy is skipped. *)
-
 val eval :
   ?config:config ->
   ?stats:Probdb_obs.Stats.t ->
@@ -184,7 +145,12 @@ val eval :
   Probdb_core.Tid.t ->
   Probdb_logic.Fo.t ->
   (Answer.t, Probdb_core.Probdb_error.t) result
-(** Guaranteed-completion evaluation. Like {!evaluate}, but
+(** Tries the configured strategies in order and returns the first
+    answer — the one strategy loop of the engine. Always-on
+    instrumentation: phase timings and per-solver counters are recorded
+    into [stats] (a fresh record when not supplied) and returned in the
+    answer. Pass [?stats] to carry CLI-side timings (e.g. parse time) into
+    the same record.
 
     - a {!Probdb_guard.Guard.t} built from the config's [deadline_s],
       budgets, heap watermark and [fault] interrupts runaway strategies;
@@ -200,21 +166,32 @@ val eval :
       [Error (Exhausted _)] (some strategy tripped a resource and no
       fallback applied) or [Error (No_method _)] (nothing was applicable).
 
+    @param config strategy list and budgets (default {!default_config}).
+    @param stats the record to fill; freshly created when absent.
+    @param prepared a pre-resolved artifact binding for [q] (e.g. from
+      {!Probdb_prepare.Prepare.Cache.resolve_text}); when absent and
+      [config.plan_cache] is set, the engine resolves one itself.
     @raise Invalid_argument on open formulas — use {!answers}. *)
 
 val probability : ?config:config -> Probdb_core.Tid.t -> Probdb_logic.Fo.t -> float
-(** The numeric value of {!evaluate}'s outcome. *)
+(** The value of {!eval}'s answer under [config].
+
+    @raise Probdb_core.Probdb_error.Error when {!eval} returns an error. *)
 
 val answers :
   ?config:config -> free:string list -> Probdb_core.Tid.t -> Probdb_logic.Fo.t ->
-  (Probdb_core.Value.t list * report) list
-(** Non-Boolean queries: evaluates the Boolean query obtained by binding
-    the free variables to each combination of domain values, keeping the
-    bindings with positive probability. *)
+  (Probdb_core.Value.t list * Answer.t) list
+(** Non-Boolean queries: runs {!eval} under [config] on the Boolean query
+    obtained by binding the free variables to each combination of domain
+    values, and keeps the bindings with positive probability, sorted by
+    binding. Each answer is exactly what {!eval} returns for that
+    grounding — exact, or degraded with a confidence interval.
+
+    @raise Invalid_argument when [q] has free variables not in [free].
+    @raise Probdb_core.Probdb_error.Error with the first grounding's error
+      (typed [No_method] or [Exhausted]) when {!eval} fails on it. *)
 
 val expected_answer_count :
   ?config:config -> free:string list -> Probdb_core.Tid.t -> Probdb_logic.Fo.t -> float
 (** Expected number of answers of a non-Boolean query, by linearity of
     expectation: the sum of the per-binding marginals of {!answers}. *)
-
-val pp_report : Format.formatter -> report -> unit

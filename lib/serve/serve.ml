@@ -369,24 +369,10 @@ let answer_json ~want_stats ~degraded_load (a : Answer.t) =
     @ [ ("chain", chain_json a.Answer.chain) ]
     @ if want_stats then [ ("stats", Stats.to_json a.Answer.stats) ] else [])
 
-let report_json (r : E.report) =
-  Json.Obj
-    [
-      ("value", Json.Float (E.value r.E.outcome));
-      ( "exact",
-        Json.Bool
-          (match r.E.outcome with E.Exact _ -> true | E.Approximate _ -> false)
-      );
-      ("strategy", Json.Str (E.strategy_name r.E.strategy));
-    ]
-
-(* Exceptions escaping [E.answers] (which has no [eval]-style typed
-   wrapper) and anything else unexpected, folded into the typed channel. *)
+(* Typed errors raised by [E.answers] and anything else unexpected,
+   folded into the typed channel. *)
 let typed_error = function
   | Err.Error e -> Protocol.Engine e
-  | E.No_method chain ->
-      Protocol.Engine
-        (Err.No_method (List.map (fun (s, m) -> (E.strategy_name s, m)) chain))
   | Guard.Exhausted trip ->
       Protocol.Engine
         (Err.Exhausted
@@ -441,7 +427,7 @@ let eval_result_json t job ~config ~degraded_load ~stats ?cost ?prepared q =
                  ( "bindings",
                    Json.List
                      (List.map
-                        (fun (binding, rep) ->
+                        (fun (binding, a) ->
                           Json.Obj
                             [
                               ( "binding",
@@ -449,7 +435,9 @@ let eval_result_json t job ~config ~degraded_load ~stats ?cost ?prepared q =
                                   (List.map
                                      (fun v -> Json.Str (Core.Value.to_string v))
                                      binding) );
-                              ("answer", report_json rep);
+                              ( "answer",
+                                answer_json ~want_stats:r.Protocol.want_stats
+                                  ~degraded_load a );
                             ])
                         answers) );
                ])
@@ -560,7 +548,7 @@ let normal_chain (r : Protocol.eval_request) =
    method override keeps the blanket rule. Exempt: [no_degrade] requests
    ([force_degrade] would reinstall the default accuracy targets over
    [degrade = None] and break the exactness contract), and open formulas,
-   which carry no artifact and whose [Engine.answers] has no fallback. *)
+   which carry no artifact to learn costs on. *)
 let degrade_decision t job prepared =
   match prepared with
   | Some b when job.j_past_watermark && not job.j_req.Protocol.no_degrade ->

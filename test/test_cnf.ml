@@ -245,10 +245,10 @@ let test_engine_wmc_on_universal_query () =
   let q = Q.h0_forall.Q.query in
   let db = Gen.h0_db ~seed:7 ~n:3 () in
   let stats = Probdb_obs.Stats.create () in
-  let r = E.evaluate ~stats db q in
-  Alcotest.(check string) "wmc answers" "wmc" (E.strategy_name r.E.strategy);
+  let a = Test_util.eval ~stats db q in
+  Alcotest.(check string) "wmc answers" "wmc" a.Probdb_engine.Answer.strategy;
   Test_util.check_float "exact value" (L.Brute_force.probability db q)
-    (E.value r.E.outcome);
+    a.Probdb_engine.Answer.value;
   (match stats.Probdb_obs.Stats.wmc with
   | Some w ->
       Alcotest.(check bool) "wmc stats recorded" true
@@ -263,19 +263,18 @@ let test_engine_wmc_skips_dnf_lineage_in_auto () =
   (* H0 is existential — DNF lineage — so in auto mode the WMC strategy
      steps aside with a reason and OBDD still answers (the seed behaviour) *)
   let db = Gen.h0_db ~seed:5 ~n:3 () in
-  let r = E.evaluate db Q.h0.Q.query in
-  Alcotest.(check string) "obdd still answers H0" "obdd" (E.strategy_name r.E.strategy);
-  Alcotest.(check bool) "wmc skipped with a reason" true
-    (List.mem_assoc E.Wmc r.E.skipped)
+  let a = Test_util.eval db Q.h0.Q.query in
+  Alcotest.(check string) "obdd still answers H0" "obdd" a.Probdb_engine.Answer.strategy;
+  Alcotest.(check bool) "wmc skipped with a reason" true (Test_util.in_chain a E.Wmc)
 
 let test_engine_wmc_forced_on_dnf () =
   (* explicitly requested, WMC clausifies the DNF lineage and still agrees *)
   let db = Gen.h0_db ~seed:5 ~n:3 () in
   let config = { E.default_config with E.strategies = [ E.Wmc ] } in
-  let r = E.evaluate ~config db Q.h0.Q.query in
-  Alcotest.(check string) "wmc answers when forced" "wmc" (E.strategy_name r.E.strategy);
+  let a = Test_util.eval ~config db Q.h0.Q.query in
+  Alcotest.(check string) "wmc answers when forced" "wmc" a.Probdb_engine.Answer.strategy;
   Test_util.check_float "same value" (L.Brute_force.probability db Q.h0.Q.query)
-    (E.value r.E.outcome)
+    a.Probdb_engine.Answer.value
 
 let suites =
   [

@@ -21,8 +21,8 @@ let test_safe_query_no_ie () =
   let q = L.Parser.parse_sentence "exists x y. R(x) && S(x,y)" in
   let db = db_for q ~seed:1 ~domain_size:3 in
   let stats = Stats.create () in
-  let r = E.evaluate ~stats db q in
-  Alcotest.(check string) "lifted wins" "lifted" (E.strategy_name r.E.strategy);
+  let a = Test_util.eval ~stats db q in
+  Alcotest.(check string) "lifted wins" "lifted" a.Probdb_engine.Answer.strategy;
   match stats.Stats.lifted with
   | None -> Alcotest.fail "lifted rule counts not populated"
   | Some rules ->
@@ -36,8 +36,8 @@ let test_unsafe_query_dpll_counts () =
   let db = Gen.h0_db ~seed:4 ~n:3 () in
   let config = { E.default_config with E.strategies = [ E.Dpll ] } in
   let stats = Stats.create () in
-  let r = E.evaluate ~config ~stats db Q.h0.Q.query in
-  Alcotest.(check string) "dpll wins" "dpll" (E.strategy_name r.E.strategy);
+  let a = Test_util.eval ~config ~stats db Q.h0.Q.query in
+  Alcotest.(check string) "dpll wins" "dpll" a.Probdb_engine.Answer.strategy;
   match stats.Stats.dpll with
   | None -> Alcotest.fail "dpll counts not populated"
   | Some d ->
@@ -52,7 +52,7 @@ let test_unsafe_query_dpll_counts () =
 let test_stats_json_roundtrip () =
   let db = Gen.h0_db ~seed:4 ~n:3 () in
   let stats = Stats.create () in
-  let _ = E.evaluate ~stats db Q.h0.Q.query in
+  let _ = Test_util.eval ~stats db Q.h0.Q.query in
   let doc = Stats.to_json stats in
   let text = Json.to_string ~pretty:true doc in
   match Json.of_string text with
@@ -82,7 +82,7 @@ let test_timers_nonnegative () =
   let q = L.Parser.parse_sentence "exists x y. R(x) && S(x,y)" in
   let db = db_for q ~seed:2 ~domain_size:3 in
   let stats = Stats.create () in
-  let _ = E.evaluate ~stats db q in
+  let _ = Test_util.eval ~stats db q in
   List.iter
     (fun (name, v) ->
       Alcotest.(check bool) (name ^ " >= 0") true (v >= 0.0))
@@ -213,7 +213,7 @@ let test_stats_config_echo () =
   let db = Gen.h0_db ~seed:4 ~n:3 () in
   let config = { E.default_config with E.domains = 2; E.seed = 9 } in
   let stats = Stats.create () in
-  let _ = E.evaluate ~config ~stats db Q.h0.Q.query in
+  let _ = Test_util.eval ~config ~stats db Q.h0.Q.query in
   match Json.member "config" (Stats.to_json stats) with
   | Some (Json.Obj fields) ->
       Alcotest.(check bool) "domains echoed" true

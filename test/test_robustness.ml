@@ -98,10 +98,11 @@ let test_missing_relation_consistency () =
   Test_util.check_float "brute = 0" 0.0 truth;
   List.iter
     (fun s ->
-      let config = { E.default_config with E.strategies = [ s ] } in
-      match E.evaluate ~config db q with
-      | r -> Test_util.check_float (E.strategy_name s) truth (E.value r.E.outcome)
-      | exception E.No_method _ -> () (* refusing is also fine *))
+      let config = { E.default_config with E.strategies = [ s ]; degrade = None } in
+      match E.eval ~config db q with
+      | Ok a -> Test_util.check_float (E.strategy_name s) truth a.Answer.value
+      | Error (Err.No_method _) -> () (* refusing is also fine *)
+      | Error e -> Alcotest.fail (Err.render e))
     [ E.Obdd; E.Dpll; E.World_enum; E.Read_once ];
   (* a universally-quantified query over the missing relation is true *)
   let q2 = parse_s "forall x y. T(y) => R(x)" in
@@ -118,10 +119,11 @@ let test_zero_and_one_probabilities () =
   let q = parse_s "exists x y. R(x) && S(x,y)" in
   List.iter
     (fun s ->
-      let config = { E.default_config with E.strategies = [ s ] } in
-      match E.evaluate ~config db q with
-      | r -> Test_util.check_float (E.strategy_name s) 1.0 (E.value r.E.outcome)
-      | exception E.No_method _ -> ())
+      let config = { E.default_config with E.strategies = [ s ]; degrade = None } in
+      match E.eval ~config db q with
+      | Ok a -> Test_util.check_float (E.strategy_name s) 1.0 a.Answer.value
+      | Error (Err.No_method _) -> ()
+      | Error e -> Alcotest.fail (Err.render e))
     [ E.Lifted; E.Obdd; E.Dpll; E.World_enum ];
   (* certain complement *)
   let q2 = parse_s "exists x. R(x) && !S(x,x)" in
@@ -152,9 +154,9 @@ let test_trivial_queries_via_lifted () =
 
 let test_engine_validation () =
   let db = Core.Tid.make [ Core.Relation.of_list "R" [ (t [ 0 ], 0.4) ] ] in
-  (match E.evaluate db (L.Parser.parse ~free:[ "x" ] "R(x)") with
+  (match E.eval db (L.Parser.parse ~free:[ "x" ] "R(x)") with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "open formula must be rejected by evaluate");
+  | _ -> Alcotest.fail "open formula must be rejected by eval");
   match E.answers ~free:[] db (L.Parser.parse ~free:[ "x" ] "R(x)") with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "undeclared free variables must be rejected"
@@ -167,12 +169,13 @@ let test_repeated_vars_and_constants () =
       [ Core.Relation.of_list "S"
           [ (t [ 0; 0 ], 0.5); (t [ 0; 1 ], 0.5); (t [ 1; 1 ], 0.25) ] ]
   in
+  let config = { E.default_config with E.degrade = None } in
   List.iter
     (fun text ->
       let q = parse_s text in
-      Test_util.check_float text
-        (L.Brute_force.probability db q)
-        (E.probability ~config:E.exact_only db q))
+      let a = Test_util.eval ~config db q in
+      Alcotest.(check bool) (text ^ " exact") true a.Answer.exact;
+      Test_util.check_float text (L.Brute_force.probability db q) a.Answer.value)
     [
       "exists x. S(x,x)";
       "exists x. S(0,x) && S(x,1)";
@@ -195,12 +198,14 @@ let test_nonstandard_probabilities () =
   List.iter
     (fun s ->
       let config = { E.default_config with E.strategies = [ s ] } in
-      let r = E.evaluate ~config db q in
-      Test_util.check_float (E.strategy_name s) truth (E.value r.E.outcome))
+      let a = Test_util.eval ~config db q in
+      Test_util.check_float (E.strategy_name s) truth a.Answer.value)
     [ E.Lifted; E.Obdd; E.Dpll ];
-  let config = { E.default_config with E.strategies = [ E.Karp_luby ] } in
-  match E.evaluate ~config db q with
-  | exception E.No_method [ (E.Karp_luby, _) ] -> ()
+  let config =
+    { E.default_config with E.strategies = [ E.Karp_luby ]; degrade = None }
+  in
+  match E.eval ~config db q with
+  | Error (Err.No_method [ ("karp-luby", _) ]) -> ()
   | _ -> Alcotest.fail "Karp-Luby must refuse non-standard probabilities"
 
 (* ---------- resource guards and graceful degradation ---------- *)
@@ -419,6 +424,20 @@ let test_no_method_stays_typed () =
   | Error e -> Alcotest.fail ("expected No_method, got: " ^ Err.render e)
   | Ok _ -> Alcotest.fail "safe-plan cannot answer a non-hierarchical query"
 
+let test_open_formula_no_method_typed () =
+  (* a non-Boolean query whose only strategy refuses fails with the same
+     typed error as its closed twin *)
+  let db =
+    Core.Tid.make [ Core.Relation.of_list "R" [ (t [ 0 ], 0.4); (t [ 1 ], 0.7) ] ]
+  in
+  let config =
+    { E.default_config with E.strategies = [ E.Symmetric ]; degrade = None }
+  in
+  match E.answers ~config ~free:[ "x" ] db (L.Parser.parse ~free:[ "x" ] "R(x)") with
+  | exception Err.Error (Err.No_method [ ("symmetric", _) ]) -> ()
+  | exception Err.Error e -> Alcotest.fail ("expected No_method, got: " ^ Err.render e)
+  | _ -> Alcotest.fail "symmetric cannot answer on a non-symmetric database"
+
 let suites =
   [
     ( "robustness",
@@ -443,6 +462,8 @@ let suites =
           test_degraded_answer_close_to_exact;
         Alcotest.test_case "exact answer not degraded" `Quick test_exact_answer_not_degraded;
         Alcotest.test_case "no-method stays typed" `Quick test_no_method_stays_typed;
+        Alcotest.test_case "open formula no-method is typed" `Quick
+          test_open_formula_no_method_typed;
         Alcotest.test_case "degradation bookkeeping complete" `Quick
           test_degradation_bookkeeping_complete;
       ] );

@@ -190,6 +190,41 @@ let test_eval_matches_local () =
         Alcotest.failf "%s: served %.17g <> local %.17g" q got want)
     expected
 
+let test_free_bindings_are_answers () =
+  (* each binding of a non-Boolean query carries the closed-query answer
+     object, and its value is bit-identical to in-process [E.answers] *)
+  let db = small_db () in
+  let text = "exists y. R(x) && S(x,y)" in
+  let local =
+    E.answers ~free:[ "x" ] db (L.Parser.parse ~free:[ "x" ] text)
+    |> List.map (fun (_, (a : Answer.t)) -> a.Answer.value)
+  in
+  with_server db @@ fun _server port ->
+  let c = Client.connect port in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let free = ("free", Json.List [ Json.Str "x" ]) in
+  let resp = Client.eval c ~fields:[ free ] text in
+  Alcotest.(check bool) "ok" true (Client.ok resp);
+  let served =
+    match get "bindings" (Client.result resp) with
+    | Json.List bs ->
+        List.map
+          (fun b ->
+            let a = get "answer" b in
+            List.iter (fun k -> ignore (get k a)) [ "exact"; "strategy"; "chain" ];
+            Alcotest.(check bool) "not degraded" false (bool_of "degraded" a);
+            float_of "value" a)
+          bs
+    | _ -> Alcotest.fail "bindings is not a list"
+  in
+  Alcotest.(check (list (float 0.0))) "served = local" local served;
+  (* a binding no strategy can answer fails typed, like a closed query *)
+  expect_error ~cls:"no-method" ~code:6
+    (Client.eval c
+       ~fields:
+         [ free; ("method", Json.Str "symmetric"); ("no_degrade", Json.Bool true) ]
+       "R(x)")
+
 let test_concurrent_clients_bit_identical () =
   let db = small_db () in
   let expected = List.map (fun q -> (q, local_value db q)) queries in
@@ -963,6 +998,8 @@ let suites =
           test_malformed_requests;
         Alcotest.test_case "served values = in-process values" `Quick
           test_eval_matches_local;
+        Alcotest.test_case "free bindings carry answers" `Quick
+          test_free_bindings_are_answers;
         Alcotest.test_case "concurrent clients bit-identical" `Slow
           test_concurrent_clients_bit_identical;
         Alcotest.test_case "pipelined requests all answered" `Quick

@@ -7,6 +7,20 @@ let check_float ?(eps = 1e-9) what expected actual =
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
+(* The answer of [Engine.eval]; a typed error fails the test with its
+   rendering. *)
+let eval ?config ?stats db q =
+  match Probdb_engine.Engine.eval ?config ?stats db q with
+  | Ok a -> a
+  | Error e -> Alcotest.failf "Engine.eval: %s" (Probdb_core.Probdb_error.render e)
+
+(* Whether [s] was tried and skipped (or tripped) before the answer. *)
+let in_chain (a : Probdb_engine.Answer.t) s =
+  List.exists
+    (fun step ->
+      Probdb_engine.Answer.step_strategy step = Probdb_engine.Engine.strategy_name s)
+    a.Probdb_engine.Answer.chain
+
 (* The TID of Fig. 1(a) of the paper: R(x) with p1..p3, S(x,y) with q1..q6. *)
 let fig1_probs =
   ([ 0.5; 0.6; 0.7 ], [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6 ])
